@@ -1,9 +1,8 @@
-//! The relviz benchmark: four closed-loop workloads driven through the
+//! The relviz benchmark: three closed-loop workloads driven through the
 //! library's public API from one client thread, with every answer
 //! checked. See README.md for the workloads, the metrics and the
 //! layer → end-to-end map.
 
-pub mod analytic;
 pub mod check;
 pub mod context;
 pub mod rng;
@@ -20,8 +19,16 @@ use check::{guarded, Tally};
 use stats::Sample;
 use trace::Tracer;
 
-/// How many fresh set-ups a run times; `setup_s` is their median.
-pub const SETUP_REPEATS: usize = 7;
+/// How many set-ups an untraced run times, each in a fresh process as a
+/// server start is, spread evenly through the timed loop so that they
+/// sample the machine's speed across the run as the requests do.
+/// `setup_s` is their median.
+pub const SETUP_REPEATS: usize = 24;
+
+/// Requests after each set-up that are sent and checked but not timed:
+/// the set-up process has just evicted the caches, and the first of them
+/// measured about 1.5 times its class's median, the next few 5-15% above.
+pub const SETTLE_REQUESTS: u32 = 4;
 
 /// One workload. Its inputs are made from the seed untimed: generating
 /// data is the benchmark's work, not the system's. Its set-up is
@@ -67,10 +74,6 @@ pub trait Workload: Sized {
     fn write_class(&self) -> Option<usize> {
         None
     }
-    /// (serial class, parallel class) pairs, for `exec.parallel_speedup`.
-    fn parallel_pairs(&self) -> Vec<(usize, usize)> {
-        Vec::new()
-    }
 }
 
 /// The command-line arguments.
@@ -79,6 +82,8 @@ pub struct Args {
     pub seed: u64,
     pub seconds: u64,
     pub trace: bool,
+    /// Only time one set-up and print it: what [`child_setup`] runs.
+    pub setup_child: bool,
 }
 
 /// What one run prints last.
@@ -123,36 +128,45 @@ pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..")
 }
 
-/// Runs one workload for `args.seconds` and reports its metrics.
-pub fn run<W: Workload>(name: &str, args: &Args) -> Result<Report, String> {
+/// Runs one workload for `args.seconds` and returns the line to print
+/// last: its report, or with `args.setup_child` one set-up's time.
+pub fn run<W: Workload>(name: &str, args: &Args) -> Result<String, String> {
+    if args.setup_child {
+        let (seconds, _) = timed_setup::<W>(args)?;
+        return Ok(format!("{{\"setup_s\": {seconds}}}"));
+    }
     let mut tally = Tally::default();
     for why in W::reference_check(args.seed) {
         tally.fail(format!("reference check: {why}"));
     }
 
-    let mut setups = Vec::with_capacity(SETUP_REPEATS);
-    let mut w = None;
-    for _ in 0..SETUP_REPEATS {
-        // Inputs are made afresh, untimed, after the previous set-up is
-        // dropped, so only one copy is ever alive.
-        drop(w.take());
-        let inputs = W::inputs(args.seed);
-        let t0 = Instant::now();
-        let mut fresh = W::new(inputs, args.trace)?;
-        fresh.warm_up()?;
-        setups.push(t0.elapsed().as_secs_f64());
-        w = Some(fresh);
-    }
-    let mut w = w.expect("SETUP_REPEATS > 0");
+    let (_, mut w) = timed_setup::<W>(args)?;
     let classes = w.classes();
     print_context(name, args, &w);
 
     let budget = Duration::from_secs(args.seconds);
+    let setup_every = budget / SETUP_REPEATS as u32;
+    let mut setups = Vec::with_capacity(SETUP_REPEATS);
     let mut samples: Vec<Sample> = Vec::new();
     let mut tracer = Tracer::default();
     let start = Instant::now();
+    // The loop's clock stops while a set-up runs.
+    let mut paused = Duration::ZERO;
+    let mut settle = 0;
     let mut i = 0u64;
-    while start.elapsed() < budget {
+    loop {
+        let busy = start.elapsed() - paused;
+        if busy >= budget {
+            break;
+        }
+        if !args.trace && setups.len() < SETUP_REPEATS && busy >= setup_every * setups.len() as u32
+        {
+            let t0 = Instant::now();
+            setups.push(child_setup(name, args)?);
+            paused += t0.elapsed();
+            settle = SETTLE_REQUESTS;
+            continue;
+        }
         // A traced run sends each request both ways, alternating which
         // goes first so neither always finds the other's warm caches.
         let traced_first = args.trace && i % 2 == 1;
@@ -163,10 +177,12 @@ pub fn run<W: Workload>(name: &str, args: &Args) -> Result<Report, String> {
         let class = w.class_of(i);
         let t0 = Instant::now();
         let answer = guarded(|| w.run(i));
-        samples.push(Sample {
-            class,
-            ms: t0.elapsed().as_secs_f64() * 1e3,
-        });
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        if settle > 0 {
+            settle -= 1;
+        } else {
+            samples.push(Sample { class, ms });
+        }
         tally.record(answer.and_then(|a| guarded(|| w.check(i, a))));
         if args.trace && !traced_first {
             let answer = guarded(|| w.run_traced(i, &mut tracer));
@@ -178,17 +194,29 @@ pub fn run<W: Workload>(name: &str, args: &Args) -> Result<Report, String> {
     for why in guarded(|| Ok(w.verify())).unwrap_or_else(|e| vec![e]) {
         tally.fail(why);
     }
+    let tail_p = w.tail_percentile();
+    print_classes(name, &classes, &samples, tail_p);
+    let layers = if args.trace {
+        Some(layer_metrics(name, &mut w, &tracer, &samples)?)
+    } else {
+        None
+    };
+    drop(w);
+    if !args.trace {
+        // Requests slower than a set-up slot can end the loop early.
+        while setups.len() < SETUP_REPEATS {
+            setups.push(child_setup(name, args)?);
+        }
+        println!("{{\"setups_s\": {setups:?}}}");
+    }
     for why in &tally.reasons {
         eprintln!("perfbench: failed: {why}");
     }
-
-    print_classes(name, &classes, &samples, w.tail_percentile());
-    let metrics = if args.trace {
-        layer_metrics(name, &mut w, &tracer, &samples)?
-    } else {
-        end_to_end(&w, &setups, &samples, peak_rss)?
+    let metrics = match layers {
+        Some(layers) => layers,
+        None => end_to_end(tail_p, &setups, &samples, peak_rss)?,
     };
-    Ok(Report { tally, metrics })
+    Ok(Report { tally, metrics }.json())
 }
 
 fn print_context<W: Workload>(name: &str, args: &Args, w: &W) {
@@ -201,7 +229,7 @@ fn print_context<W: Workload>(name: &str, args: &Args, w: &W) {
     println!(
         "{{\"context\": {{\"workload\": \"{name}\", \"seed\": {}, \"seconds\": {}, \
          \"trace\": {}, \"nproc\": {}, \"commit\": \"{}\", \"source_digest\": \"{}\", \
-         \"tail_percentile\": {}, \"setup_repeats\": {SETUP_REPEATS}, \"sizes\": {{{}}}}}}}",
+         \"tail_percentile\": {}, \"setup_repeats\": {}, \"sizes\": {{{}}}}}}}",
         args.seed,
         args.seconds,
         args.trace,
@@ -209,6 +237,7 @@ fn print_context<W: Workload>(name: &str, args: &Args, w: &W) {
         context::commit(&root),
         context::source_digest(&root),
         w.tail_percentile(),
+        if args.trace { 0 } else { SETUP_REPEATS },
         sizes.join(", ")
     );
 }
@@ -243,15 +272,48 @@ fn print_classes(name: &str, classes: &[String], samples: &[Sample], tail_p: f64
     }
 }
 
-fn end_to_end<W: Workload>(
-    w: &W,
+/// Makes the inputs from the seed, untimed, then times one set-up:
+/// [`Workload::new`] plus [`Workload::warm_up`].
+fn timed_setup<W: Workload>(args: &Args) -> Result<(f64, W), String> {
+    let inputs = W::inputs(args.seed);
+    let t0 = Instant::now();
+    let mut w = W::new(inputs, args.trace)?;
+    w.warm_up()?;
+    Ok((t0.elapsed().as_secs_f64(), w))
+}
+
+/// Times one set-up in a fresh process: this program again, with
+/// `--setup-child 1`. Waits for it to end.
+fn child_setup(name: &str, args: &Args) -> Result<f64, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("own executable: {e}"))?;
+    let out = std::process::Command::new(exe)
+        .args(["--workload", name, "--seed", &args.seed.to_string()])
+        .args(["--seconds", &args.seconds.to_string(), "--trace", "0"])
+        .args(["--setup-child", "1"])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("set-up process: {e}"))?;
+    let text = String::from_utf8_lossy(&out.stdout);
+    let value = text
+        .trim()
+        .strip_prefix("{\"setup_s\": ")
+        .and_then(|v| v.strip_suffix('}'))
+        .and_then(|v| v.parse::<f64>().ok());
+    match value {
+        Some(v) if out.status.success() => Ok(v),
+        _ => Err(format!("set-up process failed ({}): {text}", out.status)),
+    }
+}
+
+fn end_to_end(
+    tail_percentile: f64,
     setups: &[f64],
     samples: &[Sample],
     peak_rss: f64,
 ) -> Result<Vec<(String, f64, &'static str)>, String> {
     let mut ms: Vec<f64> = samples.iter().map(|s| s.ms).collect();
     ms.sort_by(f64::total_cmp);
-    let tail_p = stats::tail_percentile(ms.len(), w.tail_percentile())
+    let tail_p = stats::tail_percentile(ms.len(), tail_percentile)
         .ok_or_else(|| format!("only {} requests: too few for a tail percentile", ms.len()))?;
     let busy_s: f64 = ms.iter().sum::<f64>() / 1e3;
     Ok(vec![
@@ -277,8 +339,6 @@ pub const LAYER_METRICS: &[(&str, &str)] = &[
     ("exec.execute_ms", "ms"),
     ("exec.operators_ms", "ms"),
     ("exec.fixpoint_ms", "ms"),
-    ("exec.fixpoint_rounds", "count"),
-    ("exec.derived_rows", "count"),
     ("exec.parallel_ms", "ms"),
     ("exec.parallel_speedup", "ratio"),
     ("exec.plan_ms", "ms"),
@@ -329,13 +389,9 @@ pub const LAYER_METRICS: &[(&str, &str)] = &[
     ("trace.overhead", "ratio"),
 ];
 
-/// Spans whose self time is the physical engine running a plan.
-const EXEC_RUN_SPANS: [&str; 4] = [
-    "exec.plan_run",
-    "exec.fixpoint_run",
-    "exec.parallel_plan_run",
-    "exec.parallel_fixpoint_run",
-];
+/// Spans whose self time is the serial engine running a plan on the
+/// request path.
+const EXEC_RUN_SPANS: [&str; 2] = ["exec.plan_run", "exec.fixpoint_run"];
 
 fn layer_metrics<W: Workload>(
     name: &str,
@@ -365,13 +421,14 @@ fn layer_metrics<W: Workload>(
     }
     let exec: f64 = EXEC_RUN_SPANS.iter().map(|s| ms_of(s)).sum();
     v.insert("exec.execute_ms", exec);
+    v.insert("exec.fixpoint_ms", ms_of("exec.fixpoint_run"));
+    // The parallel probe runs the plan each traced read just ran on the
+    // serial engine, so the two totals cover the same plans.
+    let parallel = ms_of("exec.parallel_run");
+    v.insert("exec.parallel_ms", parallel);
     v.insert(
-        "exec.fixpoint_ms",
-        ms_of("exec.fixpoint_run") + ms_of("exec.parallel_fixpoint_run"),
-    );
-    v.insert(
-        "exec.parallel_ms",
-        ms_of("exec.parallel_plan_run") + ms_of("exec.parallel_fixpoint_run"),
+        "exec.parallel_speedup",
+        if parallel > 0.0 { exec / parallel } else { 0.0 },
     );
     v.insert(
         "exec.operators_ms",
@@ -383,7 +440,6 @@ fn layer_metrics<W: Workload>(
         .filter(|(k, _)| k.starts_with("diagrams.build."))
         .fold(0.0, |acc, (_, &t)| acc + t as f64 / 1e6 / n);
     v.insert("diagrams.build_ms", builds);
-    v.insert("exec.parallel_speedup", parallel_speedup(w, spans));
     // Traced request time is the request root span alone: the probes
     // that follow a request are not part of its path.
     let traced_ms: Vec<f64> = spans
@@ -426,30 +482,4 @@ fn layer_metrics<W: Workload>(
             )
         })
         .collect())
-}
-
-/// Mean engine time of each serial class over that of its parallel twin,
-/// summed over the pairs.
-fn parallel_speedup<W: Workload>(w: &W, spans: &[trace::Span]) -> f64 {
-    let pairs = w.parallel_pairs();
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let mut total: BTreeMap<usize, (f64, u64)> = BTreeMap::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for s in spans.iter().filter(|s| EXEC_RUN_SPANS.contains(&s.name)) {
-        let e = total.entry(w.class_of(s.req)).or_insert((0.0, 0));
-        e.0 += s.dur_ns() as f64;
-        if seen.insert(s.req) {
-            e.1 += 1;
-        }
-    }
-    let mean = |c: usize| total.get(&c).map_or(0.0, |&(t, k)| t / k.max(1) as f64);
-    let serial: f64 = pairs.iter().map(|&(s, _)| mean(s)).sum();
-    let parallel: f64 = pairs.iter().map(|&(_, p)| mean(p)).sum();
-    if parallel > 0.0 {
-        serial / parallel
-    } else {
-        0.0
-    }
 }

@@ -7,10 +7,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use relviz::core::suite::by_id;
+use relviz::exec::parallel::eval_fixpoint_parallel;
 use relviz::exec::{
-    eval_datalog_all_with, eval_datalog_with, eval_fixpoint, eval_trc_with, execute,
-    magic_transform, plan_datalog_with, plan_trc_with, run_sql_with, stats_of, Engine,
-    IndexedRelation, OptConfig,
+    eval_datalog_all_with, eval_datalog_analyzed_with, eval_datalog_with, eval_fixpoint,
+    eval_trc_analyzed_with, eval_trc_with, execute, execute_parallel, magic_transform,
+    plan_datalog_with, plan_trc_with, run_sql_analyzed_with, run_sql_with, stats_of, Engine,
+    IndexedRelation, OptConfig, StatsReport,
 };
 use relviz::model::generate::{generate_sailors, GenConfig};
 use relviz::model::text::parse_database;
@@ -32,13 +34,11 @@ pub const N: usize = 10_000;
 pub const SMALL_N: usize = 300;
 /// `serve_write` sends one insert after this many reads.
 pub const INSERT_EVERY: u64 = 8;
-/// `serve_write` checks the reads of every this-many-th generation
-/// against the oracle (each needs the database re-derived at that
-/// generation); every read's answer must also agree with every other
-/// read of its class at its generation.
-pub const VERIFY_EVERY_GEN: u64 = 4;
 
 const DB: &str = "default";
+
+/// Answer digests by (generation counted from the load, read class).
+type Answers = BTreeMap<(u64, usize), Vec<u64>>;
 
 /// One read request class: a suite query in one language.
 struct ReadClass {
@@ -51,8 +51,8 @@ struct ReadClass {
 }
 
 /// Q1–Q4 and Q6 in SQL, TRC and Datalog, Q8 in SQL and TRC: the suite
-/// queries that stay linear at this size (Q5, Q7 and Q8-as-Datalog are
-/// quadratic and belong to `analytic`).
+/// queries that stay linear (Q5, Q7 and Q8-as-Datalog are quadratic: at
+/// this size they are 10 to 100 times slower than the rest).
 fn read_classes() -> Vec<ReadClass> {
     const SRB: &[&str] = &["Sailor", "Reserves", "Boat"];
     let mut out = Vec::new();
@@ -142,6 +142,36 @@ fn oracle(class: &ReadClass, db: &Database) -> Result<Relation, String> {
         Lang::Datalog => eval_datalog_with(e, &parse_program(class.text)?, db, cfg),
     }
     .map_err(|e| format!("{}: oracle: {e}", class.name))
+}
+
+/// The optimized plan's `EXPLAIN ANALYZE` report, for the traced run's
+/// worst estimate.
+fn analyzed(class: &ReadClass, db: &Database) -> Result<StatsReport, String> {
+    let (e, cfg) = (Engine::Indexed, OptConfig::optimized());
+    match class.lang {
+        Lang::Sql => run_sql_analyzed_with(e, class.text, db, cfg),
+        Lang::Trc => eval_trc_analyzed_with(e, &parse_trc(class.text)?, db, cfg),
+        Lang::Datalog => eval_datalog_analyzed_with(e, &parse_program(class.text)?, db, cfg),
+    }
+    .map(|(_, report)| report)
+    .map_err(|e| format!("{}: analyzed: {e}", class.name))
+}
+
+/// Applies the `j`-th insert fragment of `seed` to `db`, as
+/// `Catalog::insert` does.
+fn apply_insert(db: &mut Database, seed: u64, j: u64) {
+    let fragment = parse_database(&insert_text(seed, j)).expect("insert fragments parse");
+    for name in fragment.names() {
+        let mut rel = db
+            .relation(name)
+            .expect("inserts touch base relations")
+            .clone();
+        for t in fragment.relation(name).expect("listed").iter() {
+            rel.insert(t.clone())
+                .expect("fragment rows match the schema");
+        }
+        db.set(name.to_string(), rel);
+    }
 }
 
 /// The same query on the reference evaluator of its language.
@@ -243,8 +273,12 @@ impl<const WRITES: bool> Serve<WRITES> {
     }
 
     /// The server's `handle_query` for a plain query, one layer call at
-    /// a time.
-    fn traced_read(&mut self, line: &str, tr: &mut Tracer) -> Result<String, String> {
+    /// a time. Also returns the plan it ran and its answer, for the probe.
+    fn traced_read(
+        &mut self,
+        line: &str,
+        tr: &mut Tracer,
+    ) -> Result<(String, Prepared, Relation), String> {
         let m = self.mirror.as_ref().ok_or("not built for tracing")?;
         let frame = tr.span("serve.wire_parse", |_| Json::parse(line))?;
         let (text, lang) = tr.span("serve.frame", |_| {
@@ -291,7 +325,7 @@ impl<const WRITES: bool> Serve<WRITES> {
                 escape(&format!("{rel}"))
             )
         });
-        Ok(out)
+        Ok((out, prepared, rel))
     }
 
     /// The server's `handle_insert`, one layer call at a time.
@@ -327,9 +361,18 @@ impl<const WRITES: bool> Serve<WRITES> {
         }))
     }
 
-    /// The materialization probe: what `execute` pays to turn the
-    /// scanned base relations into batches, and their sketches alone.
-    fn probe(&mut self, class: usize, tr: &mut Tracer) -> Result<(), String> {
+    /// The probes that follow a traced read, outside its request span:
+    /// what `execute` pays to turn the scanned base relations into
+    /// batches, their sketches alone, and the read's plan run again on
+    /// the parallel engine (`"engine":"parallel"`), whose answer must
+    /// match the serial one.
+    fn probe(
+        &mut self,
+        class: usize,
+        prepared: &Prepared,
+        serial: &Relation,
+        tr: &mut Tracer,
+    ) -> Result<(), String> {
         let m = self.mirror.as_ref().ok_or("not built for tracing")?;
         let snap = m.catalog.get(DB).ok_or("no database")?;
         let rels: Vec<&Relation> = self.classes[class]
@@ -348,7 +391,70 @@ impl<const WRITES: bool> Serve<WRITES> {
             }
         });
         self.materialized_rows += rels.iter().map(|r| r.len() as u64).sum::<u64>();
+        let db = &*snap.db;
+        let threads = crate::context::nproc();
+        let parallel = tr.span("exec.parallel_run", |_| match prepared {
+            Prepared::Plan(plan) => execute_parallel(plan, db, threads).map_err(|e| e.to_string()),
+            Prepared::Fixpoint {
+                plan,
+                query_pred,
+                program,
+            } => {
+                let mut all =
+                    eval_fixpoint_parallel(plan, db, threads).map_err(|e| e.to_string())?;
+                match all.remove(query_pred) {
+                    Some(rel) => Ok(rel),
+                    None => eval_datalog_all_with(
+                        Engine::Parallel(threads),
+                        program,
+                        db,
+                        OptConfig::optimized(),
+                    )
+                    .map_err(|e| e.to_string())?
+                    .remove(&program.query)
+                    .ok_or_else(|| "query never derived".to_string()),
+                }
+            }
+        })?;
+        if !parallel.same_contents(serial) {
+            return Err(format!(
+                "{}: the parallel engine's answer differs from the serial one",
+                self.classes[class].name
+            ));
+        }
         Ok(())
+    }
+
+    /// Checks the reads of the generations `gens` (counted from the
+    /// load) against the oracle; one reason per wrong answer.
+    fn check_generations(&self, answers: &Answers, gens: std::ops::Range<u64>) -> Vec<String> {
+        let mut db: Database = (*self.base).clone();
+        for j in 0..gens.start {
+            apply_insert(&mut db, self.seed, j);
+        }
+        let (mut bad, end) = (Vec::new(), gens.end);
+        for k in gens {
+            for (c, class) in self.classes.iter().enumerate() {
+                let Some(seen) = answers.get(&(k, c)) else {
+                    continue;
+                };
+                let expected = match oracle(class, &db) {
+                    Ok(rel) => answer_digest(&rel),
+                    Err(e) => {
+                        bad.extend(seen.iter().map(|_| e.clone()));
+                        continue;
+                    }
+                };
+                let g = self.gen0 + k;
+                for _ in seen.iter().filter(|&&d| d != expected) {
+                    bad.push(format!("{} at generation {g}: wrong answer", class.name));
+                }
+            }
+            if k + 1 < end {
+                apply_insert(&mut db, self.seed, k);
+            }
+        }
+        bad
     }
 }
 
@@ -537,7 +643,6 @@ impl<const WRITES: bool> Workload for Serve<WRITES> {
         if WRITES {
             s.push(("insert_every_reads", INSERT_EVERY as usize));
             s.push(("insert_rows", 3));
-            s.push(("verify_every_generation", VERIFY_EVERY_GEN as usize));
         }
         s
     }
@@ -553,8 +658,8 @@ impl<const WRITES: bool> Workload for Serve<WRITES> {
             tr.request(i, |tr| self.traced_insert(&line, tr))?
         } else {
             let class = self.read_class(i);
-            let out = tr.request(i, |tr| self.traced_read(&line, tr))?;
-            self.probe(class, tr)?;
+            let (out, prepared, rel) = tr.request(i, |tr| self.traced_read(&line, tr))?;
+            self.probe(class, &prepared, &rel, tr)?;
             out
         };
         self.traced_requests += 1;
@@ -614,61 +719,47 @@ impl<const WRITES: bool> Workload for Serve<WRITES> {
     }
 
     fn verify(&mut self) -> Vec<String> {
-        // Every read of one class at one generation must agree; the
-        // sampled generations must also agree with the oracle.
-        let mut by_key: BTreeMap<(usize, u64), Vec<u64>> = BTreeMap::new();
+        // Every read is checked against the oracle on the database as it
+        // stood at the read's generation; the generations are split into
+        // one contiguous chunk per core.
+        let mut answers: Answers = BTreeMap::new();
         for &(c, g, d) in &self.answers {
-            by_key.entry((c, g)).or_default().push(d);
+            answers.entry((g - self.gen0, c)).or_default().push(d);
         }
-        let mut bad = Vec::new();
-        let last_gen = by_key.keys().map(|&(_, g)| g).max().unwrap_or(self.gen0);
-        let mut db: Database = (*self.base).clone();
-        for g in self.gen0..=last_gen {
-            let checked = (g - self.gen0).is_multiple_of(VERIFY_EVERY_GEN) || g == last_gen;
-            for (c, class) in self.classes.iter().enumerate() {
-                let Some(seen) = by_key.get(&(c, g)) else {
-                    continue;
-                };
-                let expected = if checked {
-                    match oracle(class, &db) {
-                        Ok(rel) => answer_digest(&rel),
-                        Err(e) => {
-                            bad.push(e);
-                            continue;
-                        }
-                    }
-                } else {
-                    seen[0]
-                };
-                for _ in seen.iter().filter(|&&d| d != expected) {
-                    bad.push(format!("{} at generation {g}: wrong answer", class.name));
-                }
-            }
-            if g < last_gen {
-                let fragment = parse_database(&insert_text(self.seed, g - self.gen0))
-                    .expect("insert fragments parse");
-                for name in fragment.names() {
-                    let mut rel = db
-                        .relation(name)
-                        .expect("inserts touch base relations")
-                        .clone();
-                    for t in fragment.relation(name).expect("listed").iter() {
-                        rel.insert(t.clone())
-                            .expect("fragment rows match the schema");
-                    }
-                    db.set(name.to_string(), rel);
-                }
-            }
-        }
-        bad
+        let gens = answers.keys().map(|&(k, _)| k + 1).max().unwrap_or(0);
+        let chunk = gens.div_ceil(crate::context::nproc() as u64).max(1);
+        let this = &*self;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..gens)
+                .step_by(chunk as usize)
+                .map(|first| {
+                    let answers = &answers;
+                    scope.spawn(move || {
+                        this.check_generations(answers, first..gens.min(first + chunk))
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|_| vec!["verify panicked".into()]))
+                .collect()
+        })
     }
 
     fn layer_counts(&mut self) -> BTreeMap<&'static str, f64> {
         let s = self.server.plan_cache().stats();
         let (hits, misses) = (s.hits - self.warm_cache.0, s.misses - self.warm_cache.1);
         let per_req = |x: u64| x as f64 / self.traced_requests.max(1) as f64;
+        // The worst estimate over every class's optimized plan, analyzed
+        // once on the loaded database.
+        let q_error = self
+            .classes
+            .iter()
+            .filter_map(|class| analyzed(class, &self.base).ok())
+            .fold(0f64, |worst, report| worst.max(report.max_q_error));
         BTreeMap::from([
             ("exec.materialized_rows", per_req(self.materialized_rows)),
+            ("opt.max_q_error", q_error),
             (
                 "serve.cache_hit_ratio",
                 hits as f64 / (hits + misses).max(1) as f64,

@@ -5,8 +5,8 @@ distance between the first and third quartiles as a share of the median.
 
     python3 perfbench/steady.py <workload> [runs] [first_seed]
 
-Run from the repository root. The spread of every metric but setup_s should
-stay below a third of the metric's bound in BENCHMARK.json. It also prints,
+Run from the repository root. The spread of every metric should stay below
+a third of the metric's bound in BENCHMARK.json. It also prints,
 for p50 and the tail, the classes the rank landed in and the widest
 window_spread seen (see README.md).
 """
@@ -48,7 +48,7 @@ def main():
         v = values[m["name"]]
         q1, med, q3 = statistics.quantiles(v, n=4)
         spread = (q3 - q1) / med
-        verdict = "ok" if spread < m["bound"] / 3 or m["name"] == "setup_s" else "WIDE"
+        verdict = "ok" if spread < m["bound"] / 3 else "WIDE"
         print(f"{workload} {m['name']}: median {med:.5g} {m['unit']}, spread {spread:.4f} "
               f"(bound {m['bound']}, third {m['bound'] / 3:.4f}) {verdict}")
 
