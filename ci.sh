@@ -58,11 +58,18 @@ cargo run --release --bin relviz -- run \
     --lang datalog --analyze | grep -q "stratum 0 round"
 
 # 4e. Optimizer A/B toggle: the analyzed footer must report the plan
-#     mode, and --no-opt must flip it to unoptimized.
+#     mode, and --no-opt must flip it to unoptimized on every CLI path
+#     (SQL run, Datalog run, and a server's default for its requests):
+#     no global carries the flag, so each path must pass it down.
 cargo run --release --bin relviz -- run \
     "SELECT S.sname FROM Sailor S" --analyze | grep -q "plan=optimized"
 cargo run --release --bin relviz -- run \
     "SELECT S.sname FROM Sailor S" --analyze --no-opt | grep -q "plan=unoptimized"
+cargo run --release --bin relviz -- run "ans(N) :- Sailor(S, N, R, A)." \
+    --lang datalog --analyze --no-opt | grep -q "plan=unoptimized"
+printf '%s\n' '{"type":"query","id":1,"query":"SELECT S.sname FROM Sailor S","analyze":true}' \
+    | cargo run --release --bin relviz -- serve --stdio --no-opt \
+    | grep -q '"type":"stats","id":1,.*\\"optimized\\": false'
 
 # 5. Timed S1 smoke run: the θ-join/product workload at n=1000, the
 #    recursive transitive-closure workload at n ∈ {100, 300, 1000}
@@ -125,6 +132,16 @@ grep -q '"type":"stats","id":3,.*relviz-stats-v1' "$serve_out"
 test "$(wc -l < "$serve_out")" -eq 6   # hello + pong + 2 results + result/stats pair
 rm -f "$serve_out"
 
+# 7b. Hostile frame: one line of 200 000 `[` must be answered with an
+#     error frame — not a stack overflow that kills the process — and
+#     the session must keep serving (the `ping` after it gets `pong`).
+hostile_out=$(mktemp)
+{ head -c 200000 /dev/zero | tr '\0' '['; printf '\n%s\n' '{"type":"ping","id":1}'; } \
+    | cargo run --release --bin relviz -- serve --stdio > "$hostile_out"
+grep -q '"type":"error","message":"malformed frame: nesting deeper than' "$hostile_out"
+grep -q '"type":"pong","id":1' "$hostile_out"
+rm -f "$hostile_out"
+
 # 8. S2 server load generator: the full suite (SQL + TRC + Datalog)
 #    fired at an in-process server by 1, 2 and 4 concurrent clients.
 #    Appends one qps/p50/p99 row per concurrency level to
@@ -142,5 +159,10 @@ tail -n "$serve_rows_appended" BENCH_serve.json | awk '
     !/"p99_ms": [0-9.]+/ { bad++ }
     match($0, /"clients": [0-9]+/) { levels[substr($0, RSTART, RLENGTH)]++ }
     END { if (bad > 0 || length(levels) < 2) { print "BENCH_serve.json schema check failed:", bad+0, "malformed row(s),", length(levels), "distinct concurrency level(s)"; exit 1 } }'
+
+# 9. The benchmark compiles against the library and its unit tests
+#    pass, so a public-API change that breaks it fails here rather than
+#    in a later benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "ci.sh: all green"

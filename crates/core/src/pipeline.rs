@@ -101,9 +101,8 @@ pub struct QueryVisualizer {
     formalism: VisFormalism,
     backend: Backend,
     engine: Engine,
-    /// Explicit optimizer configuration; `None` defers to the
-    /// process-wide default at call time.
-    opt: Option<OptConfig>,
+    /// Optimizer configuration for execution and plan checks.
+    opt: OptConfig,
     cache: RwLock<HashMap<(String, VisFormalism, Backend), Arc<PipelineOutput>>>,
 }
 
@@ -115,7 +114,7 @@ impl QueryVisualizer {
             formalism,
             backend,
             engine: Engine::Indexed,
-            opt: None,
+            opt: OptConfig::optimized(),
             cache: RwLock::new(HashMap::new()),
         }
     }
@@ -126,24 +125,18 @@ impl QueryVisualizer {
         self
     }
 
-    /// Pins this visualizer's optimizer configuration, instead of the
-    /// process-wide default — what concurrent hosts (the `relviz serve`
-    /// daemon) use so one pipeline's `--no-opt` can't leak into
-    /// another's execution.
+    /// Sets this visualizer's optimizer configuration (default:
+    /// [`OptConfig::optimized`]) — how the CLI's `--no-opt` reaches
+    /// [`run`](Self::run), [`run_analyzed`](Self::run_analyzed) and
+    /// [`check`](Self::check).
     pub fn with_opt(mut self, cfg: OptConfig) -> Self {
-        self.opt = Some(cfg);
+        self.opt = cfg;
         self
     }
 
     /// The engine [`run`](Self::run) executes on.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// The optimizer configuration execution uses: the pinned one, else
-    /// the process-wide default.
-    pub fn opt_config(&self) -> OptConfig {
-        self.opt.unwrap_or_else(OptConfig::current)
     }
 
     /// Executes the SQL query on the pipeline's engine.
@@ -161,7 +154,7 @@ impl QueryVisualizer {
             Engine::Reference => relviz_sql::eval::run_sql(sql, db)
                 .map_err(|e| DiagError::Lang(e.to_string())),
             engine @ (Engine::Indexed | Engine::Parallel(_)) => {
-                relviz_exec::run_sql_with(engine, sql, db, self.opt_config())
+                relviz_exec::run_sql_with(engine, sql, db, self.opt)
                     .map_err(|e| DiagError::Lang(e.to_string()))
             }
         }
@@ -177,7 +170,7 @@ impl QueryVisualizer {
         sql: &str,
         db: &Database,
     ) -> DiagResult<(Relation, relviz_exec::StatsReport)> {
-        relviz_exec::run_sql_analyzed_with(self.engine, sql, db, self.opt_config())
+        relviz_exec::run_sql_analyzed_with(self.engine, sql, db, self.opt)
             .map_err(|e| DiagError::Lang(e.to_string()))
     }
 
@@ -195,7 +188,7 @@ impl QueryVisualizer {
         let parsed =
             relviz_sql::parse_query(sql).map_err(|e| DiagError::Lang(e.to_string()))?;
         let trc = relviz_rc::from_sql::sql_to_trc(&parsed, db)?;
-        let plan = relviz_exec::plan_trc(&trc, db)
+        let plan = relviz_exec::plan_trc_with(&trc, db, self.opt)
             .map_err(|e| DiagError::Lang(e.to_string()))?;
         let diags = relviz_exec::verify_plan(&plan, Some(db));
         let report = relviz_exec::verification_footer(plan.node_count(), &diags);

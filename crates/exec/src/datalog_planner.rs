@@ -39,9 +39,9 @@ use crate::planner::apply_filter;
 
 /// Lowers a program (range-restriction-checked and stratified first)
 /// into a recursive-query plan for [`crate::fixpoint::eval_fixpoint`],
-/// under the process-wide optimizer setting.
+/// fully optimized.
 pub fn plan_datalog(program: &Program, db: &Database) -> ExecResult<FixpointPlan> {
-    plan_datalog_with(program, db, OptConfig::current())
+    plan_datalog_with(program, db, OptConfig::optimized())
 }
 
 /// [`plan_datalog`] with an explicit optimizer configuration:

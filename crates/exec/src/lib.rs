@@ -73,8 +73,7 @@ pub use fixpoint::{
 };
 pub use indexed::IndexedRelation;
 pub use opt::{
-    estimate_fixpoint, estimate_plan, magic_transform, optimizer_enabled, set_optimizer_enabled,
-    stats_cache_len, stats_of, ColSketch, OptConfig, TableStats,
+    estimate_fixpoint, estimate_plan, magic_transform, stats_of, ColSketch, OptConfig, TableStats,
 };
 pub use parallel::{execute_parallel, resolve_threads, resolve_threads_from};
 pub use plan::{explain, explain_parallel, OutputCol, PhysPlan};
@@ -123,16 +122,14 @@ impl Engine {
     }
 }
 
-/// Evaluates an RA expression on the chosen engine, under the
-/// process-wide optimizer default ([`OptConfig::current`]).
+/// Evaluates an RA expression on the chosen engine, fully optimized
+/// ([`OptConfig::optimized`]).
 pub fn eval_ra(engine: Engine, expr: &relviz_ra::RaExpr, db: &Database) -> ExecResult<Relation> {
-    eval_ra_with(engine, expr, db, OptConfig::current())
+    eval_ra_with(engine, expr, db, OptConfig::optimized())
 }
 
-/// [`eval_ra`] with an **explicit per-request optimizer configuration**
-/// — the entry point concurrent callers (the `relviz serve` daemon)
-/// use, so one request's `--no-opt` never flips a process global that
-/// other in-flight queries read.
+/// [`eval_ra`] with an **explicit optimizer configuration** — how the
+/// CLI's `--no-opt` and a server request's `"no_opt"` reach the planner.
 pub fn eval_ra_with(
     engine: Engine,
     expr: &relviz_ra::RaExpr,
@@ -148,14 +145,13 @@ pub fn eval_ra_with(
     }
 }
 
-/// Evaluates a TRC query on the chosen engine, under the process-wide
-/// optimizer default ([`OptConfig::current`]).
+/// Evaluates a TRC query on the chosen engine, fully optimized.
 pub fn eval_trc(
     engine: Engine,
     q: &relviz_rc::TrcQuery,
     db: &Database,
 ) -> ExecResult<Relation> {
-    eval_trc_with(engine, q, db, OptConfig::current())
+    eval_trc_with(engine, q, db, OptConfig::optimized())
 }
 
 /// [`eval_trc`] with an explicit per-request optimizer configuration
@@ -178,7 +174,7 @@ pub fn eval_trc_with(
 /// Runs a SQL query through the pipeline's SQL → TRC front door, then
 /// evaluates the TRC on the chosen engine.
 pub fn run_sql(engine: Engine, sql: &str, db: &Database) -> ExecResult<Relation> {
-    run_sql_with(engine, sql, db, OptConfig::current())
+    run_sql_with(engine, sql, db, OptConfig::optimized())
 }
 
 /// [`run_sql`] with an explicit per-request optimizer configuration
@@ -200,7 +196,7 @@ pub fn eval_datalog_all(
     program: &relviz_datalog::Program,
     db: &Database,
 ) -> ExecResult<HashMap<String, Relation>> {
-    eval_datalog_all_with(engine, program, db, OptConfig::current())
+    eval_datalog_all_with(engine, program, db, OptConfig::optimized())
 }
 
 /// [`eval_datalog_all`] with an explicit optimizer configuration.
@@ -233,7 +229,7 @@ pub fn eval_datalog(
     program: &relviz_datalog::Program,
     db: &Database,
 ) -> ExecResult<Relation> {
-    eval_datalog_with(engine, program, db, OptConfig::current())
+    eval_datalog_with(engine, program, db, OptConfig::optimized())
 }
 
 /// [`eval_datalog`] with an explicit optimizer configuration.
@@ -301,8 +297,7 @@ mod tests {
     /// Regression (process-global optimizer toggle): one request
     /// evaluating with the optimizer off must not affect concurrent
     /// requests that asked for it on — the `*_with` entry points thread
-    /// the per-request [`OptConfig`] all the way down instead of
-    /// reading [`set_optimizer_enabled`]'s global. Half the threads run
+    /// the per-request [`OptConfig`] all the way down. Half the threads run
     /// optimized, half unoptimized, all concurrently; every analysis
     /// must report its own request's plan mode, and both sides must
     /// produce identical results.

@@ -4,10 +4,11 @@
 //! Four cooperating pieces:
 //!
 //! 1. **Statistics** ([`TableStats`]): per-column distinct counts and
-//!    min/max sketches, collected once per base relation (keyed by a
-//!    content fingerprint, so repeated queries over an unchanged catalog
-//!    reuse them) and attached to the batch materialized by the scan
-//!    cache.
+//!    min/max sketches. They live on the relation they describe
+//!    ([`Relation::stats`] in `relviz_model`): collected on first use,
+//!    shared by clones, and dropped by any insert that changes the
+//!    content — so a catalog generation that leaves a relation alone
+//!    keeps its sketches, and one that changes it collects new ones.
 //! 2. **Cardinality estimation** ([`estimate_plan`] /
 //!    [`estimate_fixpoint`]): estimated output rows propagated bottom-up
 //!    through every plan node — equality selectivity `1/distinct`,
@@ -36,43 +37,26 @@
 //! Everything here is advisory for *performance* only: estimates may be
 //! wrong (EXPLAIN ANALYZE's q-error reports by how much), but plan
 //! rewrites preserve results exactly, and every fallible step falls
-//! back to the syntactic plan. The whole pass is gated by the process-
-//! wide toggle ([`set_optimizer_enabled`], the CLI's `--no-opt`) and by
-//! the explicit [`OptConfig`] the `*_with` planner entry points take.
+//! back to the syntactic plan. Which rewrites run is a value, an
+//! [`OptConfig`], passed to the `*_with` entry points; the plain entry
+//! points use [`OptConfig::optimized`]. The CLI's `--no-opt` builds
+//! [`OptConfig::unoptimized`] and hands it down the same way — the
+//! module keeps no mutable process-global state.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use relviz_datalog::{Atom, Literal, Program, Rule, Term};
+pub use relviz_model::{ColSketch, TableStats};
 use relviz_model::{Attribute, CmpOp, Database, Relation, Schema, Value};
 use relviz_ra::{Operand, Predicate};
 
 use crate::fixpoint::FixpointPlan;
 use crate::plan::{OutputCol, PhysPlan};
 
-// ---------------------------------------------------------------------
-// Optimizer toggle
-// ---------------------------------------------------------------------
-
-/// Process-wide optimizer switch (the CLI's `--no-opt`). Defaults on.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables/disables the optimizer process-wide (`relviz run --no-opt`).
-/// Tests should prefer the explicit [`OptConfig`] planner entry points,
-/// which don't race across threads.
-pub fn set_optimizer_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether the optimizer is enabled process-wide.
-pub fn optimizer_enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
 /// Which optimizations a planning run applies. The plain `plan_*` entry
-/// points use [`OptConfig::current`]; the `*_with` variants take this
-/// explicitly so A/B tests don't touch process state.
+/// points use [`OptConfig::optimized`]; the `*_with` variants take this
+/// explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
     /// Cost-based reordering of hash-join chains and rule bodies.
@@ -91,145 +75,11 @@ impl OptConfig {
     pub fn unoptimized() -> OptConfig {
         OptConfig { reorder: false, magic: false }
     }
-
-    /// The process-wide setting (see [`set_optimizer_enabled`]).
-    pub fn current() -> OptConfig {
-        if optimizer_enabled() {
-            OptConfig::optimized()
-        } else {
-            OptConfig::unoptimized()
-        }
-    }
 }
 
-// ---------------------------------------------------------------------
-// Table statistics: distinct-count + min/max sketches
-// ---------------------------------------------------------------------
-
-/// Per-column sketch: exact distinct count plus min/max, collected in
-/// one pass when the relation is materialized.
-#[derive(Debug, Clone)]
-pub struct ColSketch {
-    pub distinct: usize,
-    pub min: Option<Value>,
-    pub max: Option<Value>,
-}
-
-/// Per-relation statistics: row count plus one [`ColSketch`] per column.
-#[derive(Debug, Clone)]
-pub struct TableStats {
-    pub rows: usize,
-    pub cols: Vec<ColSketch>,
-}
-
-impl TableStats {
-    /// Collects sketches in one pass over the stored tuples.
-    pub fn collect(rel: &Relation) -> TableStats {
-        let arity = rel.schema().arity();
-        let mut sets: Vec<BTreeSet<&Value>> = vec![BTreeSet::new(); arity];
-        for t in rel.iter() {
-            for (set, v) in sets.iter_mut().zip(t.values()) {
-                set.insert(v);
-            }
-        }
-        let cols = sets
-            .into_iter()
-            .map(|set| ColSketch {
-                distinct: set.len(),
-                min: set.iter().next().map(|v| (*v).clone()),
-                max: set.iter().next_back().map(|v| (*v).clone()),
-            })
-            .collect();
-        TableStats { rows: rel.len(), cols }
-    }
-}
-
-/// Content fingerprint of a relation: schema names plus **every tuple**.
-///
-/// This used to hash only the row count and a sample of 16 evenly
-/// spaced tuples, so two same-schema, same-rowcount tables differing
-/// only in unsampled rows silently shared one sketch — wrong distinct
-/// counts feed the containment formula and produce bad join orders for
-/// as long as the entry stays cached (a resident server caches
-/// forever). Sketch collection is already a full O(n) pass over the
-/// relation, so hashing the full content costs a constant factor of
-/// work the cache miss was about to do anyway — and a hit amortizes it
-/// across every query of the session.
-fn fingerprint(rel: &Relation) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for a in rel.schema().attrs() {
-        a.name.hash(&mut h);
-    }
-    rel.len().hash(&mut h);
-    for t in rel.iter() {
-        t.values().hash(&mut h);
-    }
-    h.finish()
-}
-
-/// One sketch-cache slot: the stats plus the logical time of last use,
-/// so eviction can drop the least-recently-used entry.
-struct StatsSlot {
-    stats: Arc<TableStats>,
-    last_used: u64,
-}
-
-/// The sketch cache: fingerprint-keyed LRU map plus a monotone tick.
-struct StatsCache {
-    map: HashMap<u64, StatsSlot>,
-    tick: u64,
-}
-
-/// The catalog-side sketch cache, keyed by content fingerprint so
-/// repeated queries over an unchanged relation reuse one collection.
-fn stats_cache() -> &'static Mutex<StatsCache> {
-    static CACHE: OnceLock<Mutex<StatsCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(StatsCache { map: HashMap::new(), tick: 0 }))
-}
-
-/// Bound on cached sketch entries. The cache is process-wide and the
-/// process may be a resident server seeing an unbounded stream of
-/// distinct tables — past the cap the **least-recently-used** entry is
-/// evicted (sketches are cheap to recollect; a working set under the
-/// cap never loses an entry).
-const STATS_CACHE_CAP: usize = 256;
-
-fn lock_stats_cache() -> std::sync::MutexGuard<'static, StatsCache> {
-    match stats_cache().lock() {
-        Ok(c) => c,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Number of live sketch-cache entries — the test hook pinning that
-/// eviction actually bounds the cache.
-pub fn stats_cache_len() -> usize {
-    lock_stats_cache().map.len()
-}
-
-/// The sketches for `rel`, from the catalog cache or collected now.
+/// The sketches of `rel` — the ones it owns ([`Relation::stats`]).
 pub fn stats_of(rel: &Relation) -> Arc<TableStats> {
-    let key = fingerprint(rel);
-    let mut cache = lock_stats_cache();
-    cache.tick += 1;
-    let now = cache.tick;
-    if let Some(slot) = cache.map.get_mut(&key) {
-        slot.last_used = now;
-        return slot.stats.clone();
-    }
-    let stats = Arc::new(TableStats::collect(rel));
-    if cache.map.len() >= STATS_CACHE_CAP {
-        // O(cap) scan — eviction is rare and the cap is small; an
-        // ordered structure would cost on every hit instead.
-        if let Some(&lru) =
-            cache.map.iter().min_by_key(|(_, slot)| slot.last_used).map(|(k, _)| k)
-        {
-            cache.map.remove(&lru);
-        }
-    }
-    cache.map.insert(key, StatsSlot { stats: stats.clone(), last_used: now });
-    stats
+    Arc::clone(rel.stats())
 }
 
 // ---------------------------------------------------------------------
@@ -286,31 +136,11 @@ struct EstCtx<'a> {
     idb: HashMap<String, f64>,
     /// Estimated per-round delta rows per IDB predicate.
     delta: HashMap<String, f64>,
-    /// Per-walk sketch memo. The global cache is keyed by a full-content
-    /// fingerprint, so every [`stats_of`] call is O(n) even on a hit;
-    /// within one estimation the database is a fixed borrow, so keying
-    /// by relation name is exact and pays that hash once per table.
-    sketches: std::cell::RefCell<HashMap<String, Arc<TableStats>>>,
 }
 
 impl<'a> EstCtx<'a> {
     fn plain(db: &'a Database) -> EstCtx<'a> {
-        EstCtx {
-            db,
-            idb: HashMap::new(),
-            delta: HashMap::new(),
-            sketches: std::cell::RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// The sketches for stored relation `name`, memoized for this walk.
-    fn stored_stats(&self, name: &str, rel: &Relation) -> Arc<TableStats> {
-        if let Some(hit) = self.sketches.borrow().get(name) {
-            return hit.clone();
-        }
-        let stats = stats_of(rel);
-        self.sketches.borrow_mut().insert(name.to_string(), stats.clone());
-        stats
+        EstCtx { db, idb: HashMap::new(), delta: HashMap::new() }
     }
 }
 
@@ -480,7 +310,7 @@ fn walk(plan: &PhysPlan, ctx: &EstCtx<'_>, out: &mut Vec<f64>) -> Est {
     out.push(0.0);
     let est = match plan {
         PhysPlan::Scan { rel, schema } => match ctx.db.relation(rel) {
-            Ok(stored) => scan_est(&ctx.stored_stats(rel, stored)),
+            Ok(stored) => scan_est(stored.stats()),
             Err(_) => Est::opaque(DEFAULT_IDB_ROWS, schema.arity()),
         },
         PhysPlan::ScanIdb { rel, schema } => {
@@ -1082,7 +912,7 @@ fn atom_est(atom: &Atom, is_delta: bool, is_idb: bool, db: &Database) -> AtomEst
         return AtomEst { rows: DEFAULT_IDB_ROWS, var_d, build: DEFAULT_IDB_ROWS };
     }
     let stats = match db.relation(&atom.rel) {
-        Ok(rel) => stats_of(rel),
+        Ok(rel) => rel.stats(),
         Err(_) => {
             let var_d = atom.vars().map(|v| (v.to_string(), DEFAULT_IDB_ROWS)).collect();
             return AtomEst { rows: DEFAULT_IDB_ROWS, var_d, build: 0.0 };
@@ -1456,51 +1286,10 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
     }
 
-    /// Regression (resident-server leak): the process-wide sketch cache
-    /// used to be an unbounded map — one entry per distinct table,
-    /// forever. It is now an LRU bounded at [`STATS_CACHE_CAP`]:
-    /// flooding it with distinct tables never grows it past the cap, a
-    /// kept-warm entry survives the flood, and a cold one is evicted.
-    #[test]
-    fn stats_cache_is_bounded_and_evicts_lru() {
-        let attrs = [("a", DataType::Int), ("b", DataType::Int)];
-        let warm = int_relation(&attrs, &[vec![-7, -70], vec![-8, -80]]);
-        let cold = int_relation(&attrs, &[vec![-9, -90], vec![-10, -100]]);
-        let warm_stats = stats_of(&warm);
-        let cold_stats = stats_of(&cold);
-        // Flood with more distinct tables than the cache can hold,
-        // re-touching the warm entry often enough that it never becomes
-        // the least-recently-used slot.
-        for i in 0..(STATS_CACHE_CAP as i64 + 100) {
-            let filler = int_relation(&attrs, &[vec![i, 1_000_000 + i]]);
-            let _ = stats_of(&filler);
-            if i % 32 == 0 {
-                let _ = stats_of(&warm);
-            }
-        }
-        assert!(
-            stats_cache_len() <= STATS_CACHE_CAP,
-            "cache must stay bounded, got {}",
-            stats_cache_len()
-        );
-        assert!(
-            Arc::ptr_eq(&warm_stats, &stats_of(&warm)),
-            "the kept-warm entry must survive the flood"
-        );
-        assert!(
-            !Arc::ptr_eq(&cold_stats, &stats_of(&cold)),
-            "the untouched entry must have been evicted and recollected"
-        );
-    }
-
-    /// Regression: `fingerprint` used to hash schema names, row count,
-    /// and a sample of 16 evenly spaced tuples, so two same-schema,
-    /// same-rowcount tables agreeing on the sampled rows collided and
-    /// silently shared one sketch (wrong cardinality estimates → bad
-    /// join orders). These two relations — identical at every
-    /// even-sorted position the old scheme sampled, different at every
-    /// odd one — collided before; they must fingerprint apart and get
-    /// distinct sketches now.
+    /// Two same-schema, same-rowcount tables that agree at every
+    /// even-sorted position and differ at every odd one must not share
+    /// a sketch: a shared one feeds wrong distinct counts to the
+    /// containment formula and so picks bad join orders.
     #[test]
     fn same_schema_same_rowcount_tables_do_not_collide() {
         let attrs = [("a", DataType::Int), ("b", DataType::Int)];
@@ -1510,10 +1299,9 @@ mod tests {
             .collect();
         let a = int_relation(&attrs, &rows_a);
         let b = int_relation(&attrs, &rows_b);
-        // Same schema, same row count, same tuples at the 16 positions
-        // the old sampler read (sorted positions 0, 2, …, 30).
+        // Same schema, same row count, same tuples at sorted positions
+        // 0, 2, …, 30.
         assert_eq!(a.len(), b.len());
-        assert_ne!(fingerprint(&a), fingerprint(&b), "full-content hash must differ");
         let sa = stats_of(&a);
         let sb = stats_of(&b);
         assert!(!Arc::ptr_eq(&sa, &sb), "distinct tables must not share a sketch");
@@ -1579,15 +1367,5 @@ mod tests {
         let a3 = Atom::new("tiny", vec![Term::var("C"), Term::var("D")]);
         let order = order_atoms(&[&a1, &a2, &a3], None, &db, &HashMap::new());
         assert_eq!(order.first(), Some(&2), "tiny atom leads: {order:?}");
-    }
-
-    #[test]
-    fn toggle_roundtrip() {
-        assert!(optimizer_enabled());
-        set_optimizer_enabled(false);
-        assert!(!optimizer_enabled());
-        set_optimizer_enabled(true);
-        assert!(optimizer_enabled());
-        assert_eq!(OptConfig::current(), OptConfig::optimized());
     }
 }

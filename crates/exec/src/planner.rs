@@ -297,9 +297,9 @@ pub(crate) fn shared_levels(plan: &PhysPlan) -> Vec<Vec<(u32, &PhysPlan)>> {
 // ---------------------------------------------------------------------------
 
 /// Lowers a Relational Algebra expression (type-checking it first),
-/// under the process-wide optimizer setting.
+/// fully optimized.
 pub fn plan_ra(expr: &RaExpr, db: &Database) -> ExecResult<PhysPlan> {
-    plan_ra_with(expr, db, crate::opt::OptConfig::current())
+    plan_ra_with(expr, db, crate::opt::OptConfig::optimized())
 }
 
 /// [`plan_ra`] with an explicit optimizer configuration: `cfg.reorder`
@@ -708,11 +708,10 @@ fn mangle(var: &str, attr: &str) -> String {
     format!("{var}__{attr}")
 }
 
-/// Lowers a (checked) TRC query under the process-wide optimizer
-/// setting. `∀` is eliminated as `¬∃¬` first; `∃`-nests become
+/// Lowers a (checked) TRC query, fully optimized. `∀` is eliminated as `¬∃¬` first; `∃`-nests become
 /// semi-joins, `¬∃`-nests anti-joins.
 pub fn plan_trc(q: &TrcQuery, db: &Database) -> ExecResult<PhysPlan> {
-    plan_trc_with(q, db, crate::opt::OptConfig::current())
+    plan_trc_with(q, db, crate::opt::OptConfig::optimized())
 }
 
 /// [`plan_trc`] with an explicit optimizer configuration (see

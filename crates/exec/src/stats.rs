@@ -44,6 +44,7 @@ use relviz_model::{Database, Relation};
 
 use crate::error::{ExecError, ExecResult};
 use crate::fixpoint::FixpointPlan;
+use crate::opt::OptConfig;
 use crate::plan::PhysPlan;
 use crate::Engine;
 
@@ -347,7 +348,7 @@ pub struct QueryStats {
     /// (set by the analyzed entry points via [`crate::opt::estimate_plan`];
     /// empty when estimation was skipped).
     ests: Vec<f64>,
-    /// Whether the optimizer was enabled when this analysis was built —
+    /// Whether the analysis ran under an optimizing [`OptConfig`] —
     /// rendered as `plan=optimized|unoptimized` in the footer.
     optimized: bool,
     pool: PoolStats,
@@ -363,8 +364,13 @@ impl QueryStats {
     /// Registers every node of a plain plan, pre-order (mirrors
     /// [`PhysPlan::node_count`]: every `Shared` occurrence registers
     /// its full subtree — occurrences are distinct allocations).
-    pub(crate) fn for_plan(plan: &PhysPlan, engine: &'static str, threads: usize) -> QueryStats {
-        let mut stats = QueryStats::empty(engine, threads);
+    pub(crate) fn for_plan(
+        plan: &PhysPlan,
+        engine: &'static str,
+        threads: usize,
+        cfg: OptConfig,
+    ) -> QueryStats {
+        let mut stats = QueryStats::empty(engine, threads, cfg);
         stats.register(plan, 0, -1);
         stats
     }
@@ -376,8 +382,9 @@ impl QueryStats {
         plan: &FixpointPlan,
         engine: &'static str,
         threads: usize,
+        cfg: OptConfig,
     ) -> QueryStats {
-        let mut stats = QueryStats::empty(engine, threads);
+        let mut stats = QueryStats::empty(engine, threads, cfg);
         for stratum in &plan.strata {
             for rule in &stratum.rules {
                 stats.register(&rule.full, 0, -1);
@@ -389,7 +396,7 @@ impl QueryStats {
         stats
     }
 
-    fn empty(engine: &'static str, threads: usize) -> QueryStats {
+    fn empty(engine: &'static str, threads: usize, cfg: OptConfig) -> QueryStats {
         QueryStats {
             engine,
             threads,
@@ -397,20 +404,11 @@ impl QueryStats {
             metas: Vec::new(),
             nodes: Vec::new(),
             ests: Vec::new(),
-            optimized: crate::opt::optimizer_enabled(),
+            optimized: cfg != OptConfig::unoptimized(),
             pool: PoolStats::new(threads),
             rounds: Mutex::new(Vec::new()),
             started: Instant::now(),
         }
-    }
-
-    /// Records which optimizer configuration this analysis actually ran
-    /// under. The constructor defaults to the process-wide toggle (the
-    /// CLI's one-shot behavior); the `*_with` analyzed entry points
-    /// override it with the request's explicit config so a concurrent
-    /// server reports each request's own plan mode.
-    pub(crate) fn set_config(&mut self, cfg: crate::opt::OptConfig) {
-        self.optimized = cfg != crate::opt::OptConfig::unoptimized();
     }
 
     fn register(&mut self, plan: &PhysPlan, depth: usize, parent: i64) {
@@ -832,24 +830,23 @@ impl StatsReport {
 /// Runs a SQL query (through the SQL → TRC front door, like
 /// [`crate::run_sql`]) with **instrumentation enabled**, returning the
 /// result and the stats report. Requires a physical engine — the
-/// reference evaluator has no plan to instrument. Plans under the
-/// process-wide optimizer default ([`crate::opt::OptConfig::current`]).
+/// reference evaluator has no plan to instrument. Plans fully
+/// optimized ([`OptConfig::optimized`]).
 pub fn run_sql_analyzed(
     engine: Engine,
     sql: &str,
     db: &Database,
 ) -> ExecResult<(Relation, StatsReport)> {
-    run_sql_analyzed_with(engine, sql, db, crate::opt::OptConfig::current())
+    run_sql_analyzed_with(engine, sql, db, OptConfig::optimized())
 }
 
-/// [`run_sql_analyzed`] with an **explicit per-request optimizer
-/// configuration** — what a concurrent server threads through, so one
-/// request's `--no-opt` can't flip any other in-flight analysis.
+/// [`run_sql_analyzed`] with an **explicit optimizer configuration** —
+/// how `--no-opt` and a server request's `"no_opt"` reach the report.
 pub fn run_sql_analyzed_with(
     engine: Engine,
     sql: &str,
     db: &Database,
-    cfg: crate::opt::OptConfig,
+    cfg: OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
     let trc = relviz_rc::from_sql::parse_sql_to_trc(sql, db)?;
     let plan = crate::planner::plan_trc_with(&trc, db, cfg)?;
@@ -863,7 +860,7 @@ pub fn eval_trc_analyzed_with(
     engine: Engine,
     q: &relviz_rc::TrcQuery,
     db: &Database,
-    cfg: crate::opt::OptConfig,
+    cfg: OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
     let plan = crate::planner::plan_trc_with(q, db, cfg)?;
     analyze_plan(engine, &plan, db, cfg)
@@ -874,7 +871,7 @@ fn analyze_plan(
     engine: Engine,
     plan: &PhysPlan,
     db: &Database,
-    cfg: crate::opt::OptConfig,
+    cfg: OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
     match engine {
         Engine::Reference => Err(ExecError::Eval(
@@ -883,8 +880,7 @@ fn analyze_plan(
                 .to_string(),
         )),
         Engine::Indexed => {
-            let mut stats = QueryStats::for_plan(plan, "exec", 1);
-            stats.set_config(cfg);
+            let mut stats = QueryStats::for_plan(plan, "exec", 1, cfg);
             stats.set_estimates(crate::opt::estimate_plan(plan, db));
             let stats = Arc::new(stats);
             let ctx = crate::run::ExecContext::new().with_stats(Arc::clone(&stats));
@@ -894,8 +890,7 @@ fn analyze_plan(
         }
         Engine::Parallel(t) => {
             let threads = crate::parallel::resolve_threads(t).max(1);
-            let mut stats = QueryStats::for_plan(plan, "parallel", threads);
-            stats.set_config(cfg);
+            let mut stats = QueryStats::for_plan(plan, "parallel", threads, cfg);
             stats.set_estimates(crate::opt::estimate_plan(plan, db));
             let stats = Arc::new(stats);
             let ctx = crate::run::ExecContext::with_threads(threads)
@@ -911,13 +906,13 @@ fn analyze_plan(
 /// Evaluates a Datalog program with instrumentation enabled, returning
 /// the answer predicate's relation and the stats report (per-operator
 /// actuals for every rule plan, plus the per-round delta table). Plans
-/// under the process-wide optimizer default.
+/// fully optimized.
 pub fn eval_datalog_analyzed(
     engine: Engine,
     program: &relviz_datalog::Program,
     db: &Database,
 ) -> ExecResult<(Relation, StatsReport)> {
-    eval_datalog_analyzed_with(engine, program, db, crate::opt::OptConfig::current())
+    eval_datalog_analyzed_with(engine, program, db, OptConfig::optimized())
 }
 
 /// [`eval_datalog_analyzed`] with an explicit per-request optimizer
@@ -926,7 +921,7 @@ pub fn eval_datalog_analyzed_with(
     engine: Engine,
     program: &relviz_datalog::Program,
     db: &Database,
-    cfg: crate::opt::OptConfig,
+    cfg: OptConfig,
 ) -> ExecResult<(Relation, StatsReport)> {
     let (name, threads): (&'static str, usize) = match engine {
         Engine::Reference => {
@@ -945,8 +940,7 @@ pub fn eval_datalog_analyzed_with(
     let transformed = if cfg.magic { crate::opt::magic_transform(program) } else { None };
     let prog = transformed.as_ref().unwrap_or(program);
     let plan = crate::plan_datalog_with(prog, db, cfg)?;
-    let mut stats = QueryStats::for_fixpoint(&plan, name, threads);
-    stats.set_config(cfg);
+    let mut stats = QueryStats::for_fixpoint(&plan, name, threads, cfg);
     stats.set_estimates(crate::opt::estimate_fixpoint(&plan, db));
     let stats = Arc::new(stats);
     let mut all =

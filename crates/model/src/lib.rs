@@ -30,6 +30,7 @@ pub mod error;
 pub mod generate;
 pub mod relation;
 pub mod schema;
+pub mod stats;
 pub mod text;
 pub mod tuple;
 pub mod value;
@@ -39,5 +40,6 @@ pub use database::Database;
 pub use error::{ModelError, Result};
 pub use relation::Relation;
 pub use schema::{Attribute, DataType, Schema};
+pub use stats::{ColSketch, TableStats};
 pub use tuple::Tuple;
 pub use value::{Value, ValueRef};

@@ -6,23 +6,53 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{ModelError, Result};
 use crate::schema::Schema;
+use crate::stats::TableStats;
 use crate::tuple::{IntoTuple, Tuple};
 use crate::value::Value;
 
 /// A named-attribute relation with set semantics.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+///
+/// The relation also owns its optimizer sketches ([`Relation::stats`]):
+/// collected on first use, shared by clones, and reset by every
+/// `&mut self` method that changes the content. Equality and `Debug`
+/// ignore them.
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct Relation {
     schema: Schema,
     tuples: BTreeSet<Tuple>,
+    #[serde(skip)]
+    stats: OnceLock<Arc<TableStats>>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.schema == other.schema && self.tuples == other.tuples
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("tuples", &self.tuples)
+            .finish()
+    }
 }
 
 impl Relation {
     /// An empty relation over `schema`.
     pub fn empty(schema: Schema) -> Self {
-        Relation { schema, tuples: BTreeSet::new() }
+        Relation::with_tuples(schema, BTreeSet::new())
+    }
+
+    fn with_tuples(schema: Schema, tuples: BTreeSet<Tuple>) -> Self {
+        Relation { schema, tuples, stats: OnceLock::new() }
     }
 
     /// Builds a relation and inserts the given rows, checking arity/types.
@@ -36,9 +66,7 @@ impl Relation {
 
     /// The Boolean TRUE relation: zero-ary with the single empty tuple.
     pub fn boolean_true() -> Self {
-        let mut r = Relation::empty(Schema::empty());
-        r.tuples.insert(Tuple::new(vec![]));
-        r
+        Relation::with_tuples(Schema::empty(), BTreeSet::from([Tuple::new(vec![])]))
     }
 
     /// The Boolean FALSE relation: zero-ary and empty.
@@ -67,6 +95,12 @@ impl Relation {
         self.tuples.contains(t)
     }
 
+    /// The optimizer sketches of the current content, collected on the
+    /// first call and kept until the next mutation.
+    pub fn stats(&self) -> &Arc<TableStats> {
+        self.stats.get_or_init(|| Arc::new(TableStats::collect(self)))
+    }
+
     /// Inserts a tuple after validating arity and types.
     /// Returns `Ok(true)` if the tuple was new.
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
@@ -85,14 +119,18 @@ impl Relation {
                 });
             }
         }
-        Ok(self.tuples.insert(t))
+        Ok(self.insert_unchecked(t))
     }
 
     /// Inserts without validation; used by evaluators whose output schema is
     /// correct by construction.
     pub fn insert_unchecked(&mut self, t: Tuple) -> bool {
         debug_assert_eq!(t.arity(), self.schema.arity());
-        self.tuples.insert(t)
+        let new = self.tuples.insert(t);
+        if new {
+            self.stats.take();
+        }
+        new
     }
 
     /// Builds a relation from a whole batch of rows without validation,
@@ -102,10 +140,11 @@ impl Relation {
     /// Duplicates collapse as always.
     pub fn from_tuples_unchecked(schema: Schema, rows: Vec<Tuple>) -> Self {
         debug_assert!(rows.iter().all(|t| t.arity() == schema.arity()));
-        Relation { schema, tuples: rows.into_iter().collect() }
+        Relation::with_tuples(schema, rows.into_iter().collect())
     }
 
     /// Replaces the schema with an equally-shaped one (rename operations).
+    /// The sketches are positional, so they carry over.
     pub fn with_schema(self, schema: Schema) -> Result<Self> {
         if schema.arity() != self.schema.arity() {
             return Err(ModelError::ArityMismatch {
@@ -113,7 +152,7 @@ impl Relation {
                 got: schema.arity(),
             });
         }
-        Ok(Relation { schema, tuples: self.tuples })
+        Ok(Relation { schema, ..self })
     }
 
     /// All distinct values appearing in this relation (its active domain).
@@ -257,6 +296,33 @@ mod tests {
         )
         .unwrap();
         assert!(a.same_contents(&b));
+    }
+
+    /// The sketches follow the content: an insert drops them, the next
+    /// read recollects, and a clone shares them until one side changes.
+    #[test]
+    fn stats_follow_mutation_and_clones_share_until_mutated() {
+        let mut r = Relation::from_rows(
+            Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]),
+            vec![(1, 10), (2, 10)],
+        )
+        .unwrap();
+        let before = Arc::clone(r.stats());
+        assert_eq!((before.rows, before.cols[1].distinct), (2, 1));
+        assert_eq!(before.cols[0].max, Some(Value::Int(2)));
+
+        let copy = r.clone();
+        assert!(Arc::ptr_eq(copy.stats(), &before), "a clone shares the sketch");
+        assert!(!r.insert(Tuple::of((1, 10))).unwrap());
+        assert!(Arc::ptr_eq(r.stats(), &before), "a duplicate changes nothing");
+
+        assert!(r.insert(Tuple::of((7, -5))).unwrap());
+        let after = r.stats();
+        assert_eq!((after.rows, after.cols[0].distinct, after.cols[1].distinct), (3, 3, 2));
+        assert_eq!(after.cols[0].max, Some(Value::Int(7)));
+        assert_eq!(after.cols[1].min, Some(Value::Int(-5)));
+        assert!(Arc::ptr_eq(copy.stats(), &before), "the untouched clone keeps its own");
+        assert_eq!(r, r.clone(), "equality ignores the sketch cell");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct ServerConfig {
     /// `RELVIZ_THREADS` / hardware **once**, at construction).
     pub threads: usize,
     /// Optimizer default for requests that don't say (the CLI's
-    /// `--no-opt` lands here, instead of in a process global).
+    /// `--no-opt` lands here).
     pub default_opt: OptConfig,
     /// Prepared-plan cache capacity.
     pub cache_cap: usize,
@@ -42,7 +42,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             threads: 0,
-            default_opt: OptConfig::current(),
+            default_opt: OptConfig::optimized(),
             cache_cap: PlanCache::DEFAULT_CAP,
         }
     }
@@ -520,7 +520,7 @@ mod tests {
         assert_eq!(resp.get("type").and_then(Json::as_str), Some("result"));
         let body = resp.get("body").and_then(Json::as_str).expect("body");
         let oneshot =
-            run_sql_with(Engine::Indexed, sql, &sailors_sample(), OptConfig::current())
+            run_sql_with(Engine::Indexed, sql, &sailors_sample(), OptConfig::optimized())
                 .expect("one-shot evaluates");
         assert_eq!(body, format!("{oneshot}"), "server body must be byte-identical");
         assert_eq!(resp.get("cached_plan").and_then(Json::as_bool), Some(false));
@@ -562,6 +562,42 @@ mod tests {
         let payload = stats.get("stats_json").and_then(Json::as_str).expect("stats_json");
         assert!(payload.contains("relviz-stats-v1"), "embedded relviz-stats-v1 document");
         assert!(!frames[1].contains('\n'), "frames stay single-line");
+    }
+
+    /// The `Sailor` scan's `est_rows` in an analyze query's stats frame.
+    fn sailor_scan_estimate(s: &Server, id: u64) -> f64 {
+        let frames = s.handle_line(&format!(
+            r#"{{"type":"query","id":{id},"query":"SELECT S.sname FROM Sailor S","analyze":true}}"#
+        ));
+        let stats = Json::parse(&frames[1]).expect("stats frame parses");
+        let payload = stats.get("stats_json").and_then(Json::as_str).expect("stats_json");
+        let doc = Json::parse(payload).expect("stats document parses");
+        let Some(Json::Arr(ops)) = doc.get("operators") else { panic!("operators array") };
+        let scan = ops
+            .iter()
+            .find(|op| {
+                let label = op.get("label").and_then(Json::as_str).unwrap_or_default();
+                label.starts_with("Scan Sailor")
+            })
+            .expect("a Sailor scan");
+        match scan.get("est_rows") {
+            Some(Json::Num(n)) => *n,
+            other => panic!("est_rows: {other:?}"),
+        }
+    }
+
+    /// The sketches live on the relation, so an insert that grows it is
+    /// reflected in the very next estimate — nothing stale survives.
+    #[test]
+    fn insert_refreshes_the_scan_estimate() {
+        let s = server();
+        let before = sailors_sample().relation("Sailor").expect("Sailor").len();
+        assert_eq!(sailor_scan_estimate(&s, 1), before as f64);
+        one(
+            &s,
+            r#"{"type":"insert","id":2,"db":"default","text":"relation Sailor(sid:int, sname:str, rating:int, age:float)\n99, zorba, 10, 33.0\n98, yuppy, 1, 20.0\n"}"#,
+        );
+        assert_eq!(sailor_scan_estimate(&s, 3), (before + 2) as f64);
     }
 
     #[test]

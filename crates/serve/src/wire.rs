@@ -45,6 +45,12 @@ use std::fmt::Write as _;
 /// The wire schema identifier.
 pub const WIRE_SCHEMA: &str = "relviz-wire-v1";
 
+/// Deepest array/object nesting a frame may have. Request frames are
+/// flat objects; the bound keeps a hostile line (say, `[[[[…`) from
+/// overflowing the recursive-descent parser's stack, which would abort
+/// the whole process and every session on it.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value — the minimal model the wire needs (numbers are
 /// kept as `f64`; the protocol only carries small integers).
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +97,7 @@ impl Json {
 
     /// Parses one complete JSON document (a wire frame).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -139,6 +145,8 @@ pub fn error_frame(id: Option<u64>, message: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -178,8 +186,15 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -370,6 +385,19 @@ mod tests {
         assert_eq!(items[1], Json::Num(-2.5));
         assert_eq!(items[2].get("b"), Some(&Json::Null));
         assert_eq!(v.get("c").and_then(Json::as_bool), Some(false));
+    }
+
+    /// Nesting past [`MAX_DEPTH`] is an ordinary parse error, even at a
+    /// depth that would overflow the stack; nesting up to it parses.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(200_000);
+        let err = Json::parse(&hostile).expect_err("must not parse");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let err = Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).expect_err("objects too");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok(), "the bound itself is allowed");
     }
 
     #[test]

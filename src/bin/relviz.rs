@@ -20,6 +20,7 @@
 use std::process::ExitCode;
 
 use relviz::core::{Backend, Engine, QueryVisualizer, VisFormalism};
+use relviz::exec::OptConfig;
 use relviz::model::catalog::sailors_sample;
 use relviz::model::Database;
 
@@ -47,6 +48,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let mut stats_json: Option<String> = None;
     let mut stdio = false;
     let mut port: Option<u16> = None;
+    let mut opt = OptConfig::optimized();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -56,7 +58,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 let v = it.next().ok_or("--port needs a port number")?;
                 port = Some(v.parse().map_err(|_| format!("--port: `{v}` is not a port"))?);
             }
-            "--no-opt" => relviz::exec::set_optimizer_enabled(false),
+            "--no-opt" => opt = OptConfig::unoptimized(),
             "--stats-json" => {
                 stats_json = Some(it.next().ok_or("--stats-json needs a file path")?);
                 analyze = true; // writing stats implies collecting them
@@ -160,15 +162,20 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
             Ok(())
         }
-        "check" => check(&db, &lang, suite, positional.get(1).map(String::as_str)),
-        "serve" => serve(db, stdio, port, threads),
+        "check" => check(&db, &lang, suite, positional.get(1).map(String::as_str), opt),
+        "serve" => serve(db, stdio, port, threads, opt),
         "run" => {
             let query = positional.get(1).ok_or("usage: relviz run \"<query>\"")?;
             match lang.as_str() {
-                "sql" => run_sql(query, &db, formalism, engine, verify, analyze, &stats_json),
-                "datalog" => {
-                    run_datalog(query, &db, engine, verify, analyze, &stats_json)
+                "sql" => {
+                    // The interactive path runs on the physical engine by
+                    // default; `--engine reference` restores the oracle.
+                    let viz = QueryVisualizer::new(formalism, Backend::Ascii)
+                        .with_engine(engine)
+                        .with_opt(opt);
+                    run_sql(query, &db, &viz, verify, analyze, &stats_json)
                 }
+                "datalog" => run_datalog(query, &db, engine, opt, verify, analyze, &stats_json),
                 other => Err(format!(
                     "run evaluates --lang sql or datalog, not `{other}` \
                      (use `check` for ra/trc plans)"
@@ -221,9 +228,15 @@ fn run(args: Vec<String>) -> Result<(), String> {
 /// database (default: the sailors sample) is preloaded as `default`;
 /// `--threads` pins the parallel width, `--no-opt` sets the default
 /// optimizer configuration — each request can still override both.
-fn serve(db: Database, stdio: bool, port: Option<u16>, threads: usize) -> Result<(), String> {
+fn serve(
+    db: Database,
+    stdio: bool,
+    port: Option<u16>,
+    threads: usize,
+    default_opt: OptConfig,
+) -> Result<(), String> {
     use relviz::serve::{Server, ServerConfig};
-    let server = Server::new(ServerConfig { threads, ..ServerConfig::default() });
+    let server = Server::new(ServerConfig { threads, default_opt, ..ServerConfig::default() });
     server.catalog().load("default", db);
     if stdio {
         return server.serve_stdio().map_err(|e| e.to_string());
@@ -244,15 +257,11 @@ fn serve(db: Database, stdio: bool, port: Option<u16>, threads: usize) -> Result
 fn run_sql(
     sql: &str,
     db: &Database,
-    formalism: VisFormalism,
-    engine: Engine,
+    viz: &QueryVisualizer,
     verify: bool,
     analyze: bool,
     stats_json: &Option<String>,
 ) -> Result<(), String> {
-    // The interactive path runs on the physical engine by default;
-    // `--engine reference` restores the oracle.
-    let viz = QueryVisualizer::new(formalism, Backend::Ascii).with_engine(engine);
     if verify {
         // `--verify`: statically check the plan before running.
         print!("{}", viz.check(sql, db).map_err(|e| e.to_string())?);
@@ -278,12 +287,13 @@ fn run_datalog(
     src: &str,
     db: &Database,
     engine: Engine,
+    opt: OptConfig,
     verify: bool,
     analyze: bool,
     stats_json: &Option<String>,
 ) -> Result<(), String> {
     use relviz::exec::{
-        analyze_program, error_count, plan_datalog, render_diagnostics, verification_footer,
+        analyze_program, error_count, plan_datalog_with, render_diagnostics, verification_footer,
         verify_fixpoint,
     };
     let prog = relviz::datalog::parse::parse_program(src).map_err(|e| e.to_string())?;
@@ -293,7 +303,7 @@ fn run_datalog(
             return Err(render_diagnostics(&analysis));
         }
         print!("{}", render_diagnostics(&analysis)); // warnings, if any
-        let plan = plan_datalog(&prog, db).map_err(|e| e.to_string())?;
+        let plan = plan_datalog_with(&prog, db, opt).map_err(|e| e.to_string())?;
         let diags = verify_fixpoint(&plan, Some(db));
         print!("{}", verification_footer(plan.node_count(), &diags));
         if error_count(&diags) > 0 {
@@ -301,15 +311,16 @@ fn run_datalog(
         }
     }
     if analyze {
-        let (rel, report) =
-            relviz::exec::eval_datalog_analyzed(engine, &prog, db).map_err(|e| e.to_string())?;
+        let (rel, report) = relviz::exec::eval_datalog_analyzed_with(engine, &prog, db, opt)
+            .map_err(|e| e.to_string())?;
         print!("{rel}");
         println!("({} tuples)", rel.len());
         print!("{}", report.text);
         write_stats_json(stats_json, &report)?;
         return Ok(());
     }
-    let rel = relviz::exec::eval_datalog(engine, &prog, db).map_err(|e| e.to_string())?;
+    let rel =
+        relviz::exec::eval_datalog_with(engine, &prog, db, opt).map_err(|e| e.to_string())?;
     print!("{rel}");
     println!("({} tuples)", rel.len());
     Ok(())
@@ -330,10 +341,16 @@ fn write_stats_json(
 /// `relviz check`: plans without running, then walks the plan with the
 /// static verifier. Exit status is keyed on **errors** — analyzer
 /// *warnings* (style lints like cartesian products) print but pass.
-fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<(), String> {
+fn check(
+    db: &Database,
+    lang: &str,
+    suite: bool,
+    query: Option<&str>,
+    opt: OptConfig,
+) -> Result<(), String> {
     use relviz::exec::{
-        analyze_program, error_count, plan_datalog, plan_ra, plan_trc, render_diagnostics,
-        verification_footer, verify_fixpoint, verify_plan,
+        analyze_program, error_count, plan_datalog_with, plan_ra_with, plan_trc_with,
+        render_diagnostics, verification_footer, verify_fixpoint, verify_plan,
     };
     if suite {
         let mut failed = 0usize;
@@ -344,7 +361,7 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
             let trc = relviz::rc::trc_parse::parse_trc(q.trc)
                 .map_err(|e| format!("{}: {e}", q.id))?;
             for (name, plan) in
-                [("ra", plan_ra(&ra, db)), ("trc", plan_trc(&trc, db))]
+                [("ra", plan_ra_with(&ra, db, opt)), ("trc", plan_trc_with(&trc, db, opt))]
             {
                 let plan = plan.map_err(|e| format!("{}: {e}", q.id))?;
                 let diags = verify_plan(&plan, Some(db));
@@ -362,7 +379,8 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
             let mut errs = error_count(&analysis);
             let mut nodes = 0;
             if errs == 0 {
-                let plan = plan_datalog(&prog, db).map_err(|e| format!("{}: {e}", q.id))?;
+                let plan =
+                    plan_datalog_with(&prog, db, opt).map_err(|e| format!("{}: {e}", q.id))?;
                 errs += error_count(&verify_fixpoint(&plan, Some(db)));
                 nodes = plan.node_count();
             }
@@ -384,18 +402,19 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
         query.ok_or("usage: relviz check \"<query>\" [--lang sql|ra|trc|datalog] | --suite")?;
     let (diags, nodes) = match lang {
         "sql" => {
-            let viz = QueryVisualizer::new(VisFormalism::RelationalDiagrams, Backend::Ascii);
+            let viz = QueryVisualizer::new(VisFormalism::RelationalDiagrams, Backend::Ascii)
+                .with_opt(opt);
             print!("{}", viz.check(query, db).map_err(|e| e.to_string())?);
             return Ok(());
         }
         "ra" => {
             let expr = relviz::ra::parse::parse_ra(query).map_err(|e| e.to_string())?;
-            let plan = plan_ra(&expr, db).map_err(|e| e.to_string())?;
+            let plan = plan_ra_with(&expr, db, opt).map_err(|e| e.to_string())?;
             (verify_plan(&plan, Some(db)), plan.node_count())
         }
         "trc" => {
             let trc = relviz::rc::trc_parse::parse_trc(query).map_err(|e| e.to_string())?;
-            let plan = plan_trc(&trc, db).map_err(|e| e.to_string())?;
+            let plan = plan_trc_with(&trc, db, opt).map_err(|e| e.to_string())?;
             (verify_plan(&plan, Some(db)), plan.node_count())
         }
         "datalog" => {
@@ -406,7 +425,7 @@ fn check(db: &Database, lang: &str, suite: bool, query: Option<&str>) -> Result<
                 return Err(render_diagnostics(&analysis));
             }
             print!("{}", render_diagnostics(&analysis)); // warnings, if any
-            let plan = plan_datalog(&prog, db).map_err(|e| e.to_string())?;
+            let plan = plan_datalog_with(&prog, db, opt).map_err(|e| e.to_string())?;
             (verify_fixpoint(&plan, Some(db)), plan.node_count())
         }
         other => return Err(format!("unknown language `{other}`")),

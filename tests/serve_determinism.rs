@@ -52,7 +52,7 @@ fn body_of(resp: &Json) -> String {
 /// One-shot `Engine::Indexed` renderings of every suite query in the
 /// three languages the server evaluates.
 fn one_shot_suite(db: &Database) -> Vec<(&'static str, &'static str, String)> {
-    let cfg = OptConfig::current();
+    let cfg = OptConfig::optimized();
     let mut expected = Vec::new();
     for q in SUITE {
         let rel = run_sql_with(Engine::Indexed, q.sql, db, cfg).expect(q.id);
@@ -121,7 +121,7 @@ const GEN_QUERY_DATALOG: &str = "ans(A, B) :- R(A, B), B > 5.";
 /// Renders the one-shot answer of the generation-test queries against
 /// an explicit database state.
 fn gen_expected(db: &Database) -> (String, String) {
-    let cfg = OptConfig::current();
+    let cfg = OptConfig::optimized();
     let trc = relviz::rc::trc_parse::parse_trc(GEN_QUERY_TRC).expect("trc parses");
     let t = eval_trc_with(Engine::Indexed, &trc, db, cfg).expect("trc evals");
     let prog = relviz::datalog::parse::parse_program(GEN_QUERY_DATALOG).expect("dl parses");
